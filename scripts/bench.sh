@@ -9,7 +9,6 @@
 #
 # Usage: scripts/bench.sh [build-dir] [out.json]
 #        scripts/bench.sh ab <base-build-dir> <head-build-dir> [out.json]
-#        scripts/bench.sh cop <build-dir> [out.json]
 #        scripts/bench.sh pop <build-dir> [out.json]
 #   build-dir: configured *release-noaudit* build tree (default:
 #              ./build-release). Audit-enabled builds measure the audit
@@ -29,18 +28,9 @@
 # bench_bft_e2e wall seconds) plus head/base ratios. BENCH_PR3.json in
 # the repo root holds the PR-3 zero-copy before/after pair.
 #
-# COP mode: serial-lanes vs worker-pool A/B of the SAME binary
-# (bench_cop_scaling --wall serial / --wall pool=$RUBIN_COP_POOL,
-# default 2), interleaved like ab mode. Build the release-parallel
-# preset for it — without RUBIN_PARALLEL_LANES the pool side degrades to
-# inline execution and the A/B measures only submit-path overhead. The
-# binary prints its virtual-time throughput; the script asserts the two
-# sides printed identical digits (the determinism contract) and reports
-# wall seconds per side. BENCH_PR5.json holds the PR-5 pair.
-#
 # POP mode: SRQ vs per-QP A/B of the SAME binary (bench_population_scaling
 # --wall srq / --wall perqp, $RUBIN_POP_CLIENTS clients, default 10000),
-# interleaved like cop mode. The two sides run *different* receive
+# interleaved like ab mode. The two sides run *different* receive
 # provisioning, so their numbers legitimately differ; the determinism
 # contract here is per side — every rep of a side must print an identical
 # pop_wall line (virtual time is a pure function of the scenario). The
@@ -50,78 +40,6 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-
-# ---------------------------------------------------------------- cop mode ---
-
-if [ "${1:-}" = "cop" ]; then
-  DIR="${2:?bench.sh cop: missing build dir}"
-  OUT="${3:-}"
-  REPS="${RUBIN_BENCH_REPS:-5}"
-  POOL="${RUBIN_COP_POOL:-2}"
-  BIN="$DIR/bench/bench_cop_scaling"
-  [ -x "$BIN" ] || {
-    echo "bench.sh cop: missing $BIN — build the release-parallel preset:" >&2
-    echo "  cmake --preset release-parallel && cmake --build $DIR --target bench_cop_scaling" >&2
-    exit 1
-  }
-
-  TMP=$(mktemp -d)
-  trap 'rm -rf "$TMP"' EXIT
-
-  run_cop_side() { # $1=side-name $2=mode-arg
-    start=$(date +%s.%N)
-    "$BIN" --wall "$2" > "$TMP/$1.last" 2>/dev/null
-    end=$(date +%s.%N)
-    awk -v a="$start" -v b="$end" 'BEGIN { printf "%.3f\n", b - a }' \
-      >> "$TMP/$1.wall"
-    grep -o 'virtual_rps=[0-9.]*' "$TMP/$1.last" >> "$TMP/$1.rps"
-  }
-
-  i=0
-  while [ "$i" -lt "$REPS" ]; do
-    if [ $((i % 2)) -eq 0 ]; then
-      run_cop_side serial serial; run_cop_side pool "pool=$POOL"
-    else
-      run_cop_side pool "pool=$POOL"; run_cop_side serial serial
-    fi
-    i=$((i + 1))
-  done
-
-  SERIAL_S=$(sort -n "$TMP/serial.wall" | head -1)
-  POOL_S=$(sort -n "$TMP/pool.wall" | head -1)
-  SERIAL_RPS=$(sort -u "$TMP/serial.rps" | sed 's/virtual_rps=//')
-  POOL_RPS=$(sort -u "$TMP/pool.rps" | sed 's/virtual_rps=//')
-  if [ "$(printf '%s\n%s\n' "$SERIAL_RPS" "$POOL_RPS" | sort -u | wc -l)" -ne 1 ]; then
-    echo "bench.sh cop: VIRTUAL OUTPUT DIVERGED: serial='$SERIAL_RPS' pool='$POOL_RPS'" >&2
-    exit 1
-  fi
-
-  JSON=$(
-    printf '{\n'
-    printf '  "date": "%s",\n' "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-    printf '  "host": "%s",\n' "$(uname -srm)"
-    printf '  "host_cores": %s,\n' "$(nproc 2>/dev/null || echo 1)"
-    printf '  "mode": "interleaved-cop-ab",\n'
-    printf '  "reps": %s,\n' "$REPS"
-    printf '  "build_dir": "%s",\n' "$DIR"
-    printf '  "pool_threads": %s,\n' "$POOL"
-    printf '  "virtual_rps_identical_across_modes": true,\n'
-    printf '  "virtual_rps": %s,\n' "$SERIAL_RPS"
-    printf '  "serial_wall_seconds": %s,\n' "$SERIAL_S"
-    printf '  "pool_wall_seconds": %s,\n' "$POOL_S"
-    printf '  "pool_over_serial_wall_speedup": %s\n' \
-      "$(awk -v a="$SERIAL_S" -v b="$POOL_S" 'BEGIN { printf "%.3f", a / b }')"
-    printf '}\n'
-  )
-
-  if [ -n "$OUT" ]; then
-    printf '%s\n' "$JSON" >"$OUT"
-    echo "bench.sh: wrote $OUT" >&2
-  else
-    printf '%s\n' "$JSON"
-  fi
-  exit 0
-fi
 
 # ---------------------------------------------------------------- pop mode ---
 

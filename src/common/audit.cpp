@@ -4,18 +4,13 @@
 #include <cstdlib>
 #include <map>
 
-#if defined(RUBIN_PARALLEL_LANES)
-#include <mutex>
-#endif
-
 #include "common/log.hpp"
 
 namespace rubin::audit {
 
 namespace {
 
-// Failure capture stays single-threaded by design (the simulator owns
-// all audited objects; worker-pool jobs are pure and assert nothing).
+// Single-threaded by design: the simulator owns all audited objects.
 ScopedCapture* g_capture = nullptr;
 std::uint64_t g_failures = 0;
 
@@ -23,22 +18,6 @@ std::map<std::string, std::uint64_t, std::less<>>& counter_map() {
   static std::map<std::string, std::uint64_t, std::less<>> m;
   return m;
 }
-
-// Counters, unlike captures, may tick from worker threads under the
-// parallel-lanes build (e.g. datapath.slices when a job copies a frame
-// slice), so they take a lock there. Serial builds pay nothing.
-#if defined(RUBIN_PARALLEL_LANES)
-std::mutex& counter_mutex() {
-  static std::mutex m;
-  return m;
-}
-#define RUBIN_AUDIT_COUNTER_LOCK() \
-  const std::scoped_lock rubin_audit_counter_lock(counter_mutex())
-#else
-#define RUBIN_AUDIT_COUNTER_LOCK() \
-  do {                             \
-  } while (0)
-#endif
 
 }  // namespace
 
@@ -64,7 +43,6 @@ void fail(std::string_view component, std::string_view message,
 std::uint64_t failure_count() noexcept { return g_failures; }
 
 void count(std::string_view name, std::uint64_t delta) {
-  RUBIN_AUDIT_COUNTER_LOCK();
   auto& m = counter_map();
   const auto it = m.find(name);
   if (it != m.end()) {
@@ -75,20 +53,17 @@ void count(std::string_view name, std::uint64_t delta) {
 }
 
 std::uint64_t counter_value(std::string_view name) {
-  RUBIN_AUDIT_COUNTER_LOCK();
   const auto& m = counter_map();
   const auto it = m.find(name);
   return it == m.end() ? 0 : it->second;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> counters() {
-  RUBIN_AUDIT_COUNTER_LOCK();
   const auto& m = counter_map();
   return {m.begin(), m.end()};
 }
 
 void reset_counters() {
-  RUBIN_AUDIT_COUNTER_LOCK();
   counter_map().clear();
 }
 

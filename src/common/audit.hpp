@@ -23,9 +23,7 @@
 //       enclosing scope exits (normal or exceptional).
 //
 // The simulator is single-threaded; captures and counters are not
-// synchronized. Under the tsan preset the audit layer is still safe to
-// *enable* as long as audited objects keep their existing single-thread
-// ownership discipline — which is itself an invariant worth tripping.
+// synchronized.
 #pragma once
 
 #include <cstdint>

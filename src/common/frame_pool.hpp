@@ -18,7 +18,8 @@
 // moved it, which orders the reuse after the free.
 //
 // Determinism: recycling changes addresses, never virtual time — the
-// golden-digest and parallel-determinism batteries pin that.
+// golden digest and the replay batteries in tests/determinism_test.cpp
+// pin that.
 //
 // Under AddressSanitizer the pool is compiled out (plain new/delete), so
 // use-after-free of coroutine frames stays detectable — pooled memory

@@ -12,9 +12,8 @@ namespace rubin {
 namespace {
 // Allocation ids are handed out once and never reused, so buffer_id()
 // equality is exactly "same logical allocation" — independent of the
-// recycling pool handing the same raw block back. Relaxed is enough:
-// the id is data, not a synchronization point.
-std::atomic<std::uint64_t> next_buffer_id{1};
+// recycling pool handing the same raw block back.
+std::uint64_t next_buffer_id = 1;
 }  // namespace
 
 SharedBytes SharedBytes::allocate(std::size_t n) {
@@ -26,9 +25,8 @@ SharedBytes SharedBytes::allocate(std::size_t n) {
   // wire-sized buffers (headers, 1 KiB requests) churn once per message,
   // and the pool hands the same blocks back instead of hitting malloc.
   auto* raw = static_cast<std::uint8_t*>(frame_pool::allocate(sizeof(Ctrl) + n));
-  auto* ctrl = new (raw) Ctrl{1, static_cast<std::uint32_t>(n),
-                              next_buffer_id.fetch_add(
-                                  1, std::memory_order_relaxed)};
+  auto* ctrl =
+      new (raw) Ctrl{1, static_cast<std::uint32_t>(n), next_buffer_id++};
   return SharedBytes(ctrl, raw + sizeof(Ctrl), n);
 }
 
@@ -46,7 +44,7 @@ std::uint8_t* SharedBytes::mutable_data() noexcept {
   // moment the buffer is legitimately writable (sole owner, whole span).
   RUBIN_AUDIT_ASSERT("shared_bytes",
                      ctrl_ == nullptr ||
-                         (ref_load(*ctrl_) == 1 && size_ == ctrl_->capacity),
+                         (ctrl_->refs == 1 && size_ == ctrl_->capacity),
                      "mutable_data on a shared or sliced buffer");
   return const_cast<std::uint8_t*>(data_);
 }
@@ -56,7 +54,7 @@ SharedBytes SharedBytes::slice(std::size_t offset, std::size_t len) const {
     throw std::out_of_range("SharedBytes::slice: out of range");
   }
   if (len == 0) return {};
-  if (ctrl_ != nullptr) ref_inc(*ctrl_);
+  if (ctrl_ != nullptr) ++ctrl_->refs;
   // Each slice is a payload reference that did *not* copy — the audit
   // counterpart of datapath.copy_bytes.
   RUBIN_AUDIT_COUNT("datapath.slices", 1);
@@ -64,7 +62,7 @@ SharedBytes SharedBytes::slice(std::size_t offset, std::size_t len) const {
 }
 
 void SharedBytes::release_live() noexcept {
-  if (ref_dec(*ctrl_)) {
+  if (--ctrl_->refs == 0) {
     ctrl_->~Ctrl();
     frame_pool::deallocate(static_cast<void*>(ctrl_));
   }

@@ -163,15 +163,6 @@ struct Scenario {
   /// checked, liveness is not expected.
   bool expect_liveness = true;
 
-  /// COP worker-pool threads for the run (0 = serial lanes). The Lab
-  /// attaches a WorkerPool of this size to its harness, so lane
-  /// verify/decode work runs on host threads *while the faults fire* —
-  /// proving faults and threads compose. Virtual-time behaviour (and the
-  /// replay-determinism contract above) is unchanged by construction; in
-  /// builds without RUBIN_PARALLEL_LANES the pool degrades to inline
-  /// execution.
-  std::uint32_t lane_pool_threads = 0;
-
   /// Run with the one-sided fast-path commit substrate (DESIGN.md §12):
   /// the Lab wires a decision-log mesh into the harness and every replica
   /// dual-sends/polls, with the message path as fallback. RUBIN backend

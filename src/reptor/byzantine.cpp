@@ -267,17 +267,6 @@ std::shared_ptr<ByzantineStrategy> make_stale_view_spammer() {
   return std::make_shared<StaleViewSpammer>();
 }
 
-std::shared_ptr<ByzantineStrategy> make_strategy(FaultMode mode) {
-  switch (mode) {
-    case FaultMode::kHonest: return nullptr;
-    case FaultMode::kCrashed: return make_crash();
-    case FaultMode::kSilentPrimary: return make_silent_primary();
-    case FaultMode::kEquivocatingPrimary: return make_equivocating_primary();
-    case FaultMode::kCorruptMacs: return make_corrupt_macs();
-  }
-  return nullptr;
-}
-
 std::shared_ptr<ByzantineStrategy> make_strategy_by_name(
     const std::string& name) {
   if (name == "crash") return make_crash();

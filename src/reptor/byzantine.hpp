@@ -3,10 +3,7 @@
 // A ByzantineStrategy intercepts a replica at the protocol boundaries —
 // what it proposes, what it broadcasts, what it sends point-to-point,
 // what it accepts, and what it does on each timer tick — so one honest
-// replica implementation hosts every adversary. The hooks replace the
-// FaultMode branches that used to live inline in replica.cpp (and the
-// single `crashed_` bool); FaultMode survives as the config-file-friendly
-// name for the built-in strategies via make_strategy().
+// replica implementation hosts every adversary.
 //
 // Determinism contract: strategies must derive all behaviour from the
 // hook arguments and their own state — no wall clock, no global RNG. A
@@ -90,10 +87,6 @@ class ByzantineStrategy {
   /// replay, view-change spam) emit their traffic.
   virtual void on_tick(ByzantineEnv& /*env*/) {}
 };
-
-/// Maps the legacy FaultMode names onto strategy instances; kHonest maps
-/// to nullptr (no strategy installed, zero overhead).
-std::shared_ptr<ByzantineStrategy> make_strategy(FaultMode mode);
 
 std::shared_ptr<ByzantineStrategy> make_crash();
 std::shared_ptr<ByzantineStrategy> make_silent_primary();

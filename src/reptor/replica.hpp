@@ -41,10 +41,6 @@
 #include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
 
-namespace rubin {
-class WorkerPool;
-}  // namespace rubin
-
 namespace rubin::nio {
 class DecisionLog;
 }  // namespace rubin::nio
@@ -52,25 +48,6 @@ class DecisionLog;
 namespace rubin::reptor {
 
 class ByzantineStrategy;
-
-/// Built-in Byzantine behaviours a replica can be configured with by name
-/// (mapped onto ByzantineStrategy instances — see reptor/byzantine.hpp,
-/// which also offers strategies with no FaultMode alias: mute, replayer,
-/// stale-view spammer).
-enum class FaultMode : std::uint8_t {
-  kHonest,
-  /// Crash-stop from the beginning: connects, then never speaks.
-  kCrashed,
-  /// As primary, accepts requests but never proposes (liveness attack —
-  /// forces a view change).
-  kSilentPrimary,
-  /// As primary, sends PRE-PREPAREs whose digest does not match the batch
-  /// to half the backups (equivocation-style safety attack; honest
-  /// backups reject and the view change removes the primary).
-  kEquivocatingPrimary,
-  /// Corrupts its authenticator MACs toward half the group.
-  kCorruptMacs,
-};
 
 struct ReplicaConfig {
   std::uint32_t n = 4;
@@ -85,16 +62,6 @@ struct ReplicaConfig {
   /// replica re-asks a different peer if no usable snapshot arrives).
   sim::Time state_transfer_retry = sim::milliseconds(2);
   std::uint32_t pipelines = 1;  // COP lanes (== cores devoted to agreement)
-  /// Optional wall-clock worker pool: when set, each lane's dominant
-  /// compute (HMAC verify + frame decode, PRE-PREPARE batch digest) is
-  /// submitted as a pure job and joined at the end of the exact virtual
-  /// charge the cost model already bills — wall-clock throughput scales
-  /// with host cores, virtual-time behaviour is bit-identical (the
-  /// parallel-determinism battery in tests/determinism_test.cpp pins
-  /// this). Not owned; must outlive the replica's coroutines. With a
-  /// 0-thread pool (or a build without RUBIN_PARALLEL_LANES) jobs run
-  /// inline on the submitting thread.
-  WorkerPool* worker_pool = nullptr;
   /// One-sided fast-path commit (DESIGN.md §12): when set, the primary
   /// RDMA-writes each proposal into every replica's decision-log ring
   /// *in addition to* the ordinary PRE-PREPARE broadcast (dual-send), and
@@ -104,9 +71,9 @@ struct ReplicaConfig {
   /// owned; must outlive the replica's coroutines.
   nio::DecisionLog* decision_log = nullptr;
   ProtocolCosts costs;
-  FaultMode fault = FaultMode::kHonest;
-  /// Takes precedence over `fault` when set; FaultLab scenarios install
-  /// strategies here (a fresh instance per run keeps replays identical).
+  /// Byzantine behaviour (reptor/byzantine.hpp); null is an honest
+  /// replica. FaultLab scenarios install strategies here (a fresh
+  /// instance per run keeps replays identical).
   std::shared_ptr<ByzantineStrategy> strategy;
 };
 

@@ -187,9 +187,7 @@ sim::Task<bool> RdmaChannel::stage_message(ByteView msg,
   if (msg.size() > cfg_.buffer_size) {
     throw std::invalid_argument("RdmaChannel::write: message exceeds buffer_size");
   }
-  // Slots consumed by WRs already staged in this batch are not visible in
-  // send_slots_free() until the post, so subtract them here.
-  if (qp_->send_slots_free() <= out.size()) co_return false;
+  if (send_queue_full(out.size())) co_return false;
 
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;
@@ -254,6 +252,17 @@ sim::Task<bool> RdmaChannel::stage_message(ByteView msg,
   co_return true;
 }
 
+bool RdmaChannel::send_queue_full(std::size_t staged) const noexcept {
+  // Slots consumed by WRs already staged in this batch are not visible in
+  // send_slots_free() until the post, so subtract them here. The QP frees
+  // slots as soon as a signaled WR completes, but outstanding_ retires
+  // them only when pump() polls that CQE — and staging may suspend (copy
+  // or registration charges) while completions land. Gate on both, so a
+  // refused writer waits for the completion event that pumps the CQE.
+  return qp_->send_slots_free() <= staged ||
+         outstanding_.size() >= cfg_.buffer_count;
+}
+
 void RdmaChannel::enqueue_staged(verbs::SendWr&& wr, OutstandingSend rec,
                                  std::vector<verbs::SendWr>& out) {
   // Selective signaling: every Nth send requests a completion; also signal
@@ -296,7 +305,7 @@ sim::Task<bool> RdmaChannel::stage_frame(const FrameVec& frame,
     throw std::invalid_argument(
         "RdmaChannel::write: frame exceeds buffer_size");
   }
-  if (qp_->send_slots_free() <= out.size()) co_return false;
+  if (send_queue_full(out.size())) co_return false;
 
   verbs::SendWr wr;
   wr.opcode = verbs::Opcode::kSend;

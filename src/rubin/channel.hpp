@@ -198,6 +198,9 @@ class RdmaChannel : public std::enable_shared_from_this<RdmaChannel> {
   /// covers the frame's slices (no gather copy, physical or charged).
   sim::Task<bool> stage_frame(const FrameVec& frame,
                               std::vector<verbs::SendWr>& out);
+  /// Capacity gate of the staging paths: true when no further WR fits
+  /// behind the `staged` ones already built for this batch.
+  bool send_queue_full(std::size_t staged) const noexcept;
   /// Shared epilogue of the staging paths: selective signaling, the
   /// outstanding-WR accounting, and the batch hand-off.
   void enqueue_staged(verbs::SendWr&& wr, OutstandingSend rec,

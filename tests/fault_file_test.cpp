@@ -85,6 +85,8 @@ void expect_fail(const char* text, const char* needle) {
 
 TEST(FaultFile, RejectsUnknownKeys) {
   expect_fail("scenario t\n  frobnicate 3\nend\n", "unknown directive");
+  expect_fail("scenario t\n  lane_pool_threads 2\nend\n",
+              "unknown directive");
   expect_fail("scenario t\n  at_ms 1 levitate 3\nend\n",
               "unknown fault action");
   expect_fail("bogus-toplevel\n", "expected 'scenario");

@@ -116,7 +116,7 @@ TEST_P(BftTest, CheckpointsAdvanceAndGarbageCollect) {
 
 TEST_P(BftTest, CrashedBackupToleratedSilently) {
   BftHarness h(GetParam(), 4, 1);
-  h.add_replicas({{3, FaultMode::kCrashed}}, fast_cfg());
+  h.add_replicas({{3, make_crash()}}, fast_cfg());
   auto& client = h.add_client(4);
   std::vector<std::uint64_t> results;
   run_client(h, client, 8, results);
@@ -132,7 +132,7 @@ TEST_P(BftTest, CrashedBackupToleratedSilently) {
 
 TEST_P(BftTest, SilentPrimaryTriggersViewChange) {
   BftHarness h(GetParam(), 4, 1);
-  h.add_replicas({{0, FaultMode::kSilentPrimary}}, fast_cfg());
+  h.add_replicas({{0, make_silent_primary()}}, fast_cfg());
   ClientConfig ccfg;
   ccfg.retry_timeout = sim::milliseconds(4);
   auto& client = h.add_client(4, ccfg);
@@ -152,7 +152,7 @@ TEST_P(BftTest, SilentPrimaryTriggersViewChange) {
 
 TEST_P(BftTest, EquivocatingPrimaryRemovedByViewChange) {
   BftHarness h(GetParam(), 4, 1);
-  h.add_replicas({{0, FaultMode::kEquivocatingPrimary}}, fast_cfg());
+  h.add_replicas({{0, make_equivocating_primary()}}, fast_cfg());
   ClientConfig ccfg;
   ccfg.retry_timeout = sim::milliseconds(4);
   auto& client = h.add_client(4, ccfg);
@@ -172,7 +172,7 @@ TEST_P(BftTest, CorruptMacBackupIsHarmless) {
   // Replica 2 garbles its MACs toward even-numbered peers. Quorums still
   // form out of the remaining honest messages.
   BftHarness h(GetParam(), 4, 1);
-  h.add_replicas({{2, FaultMode::kCorruptMacs}}, fast_cfg());
+  h.add_replicas({{2, make_corrupt_macs()}}, fast_cfg());
   auto& client = h.add_client(4);
   std::vector<std::uint64_t> results;
   run_client(h, client, 6, results);

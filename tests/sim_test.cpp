@@ -6,10 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "common/rng.hpp"
-#include "common/shared_bytes.hpp"
-#include "common/worker_pool.hpp"
 #include "sim/event.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/simulator.hpp"
@@ -417,19 +414,8 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
 // wakeups, Event broadcast, cancellation (pending *and* already fired),
 // and run_until phase boundaries. Returns a digest of every echo latency
 // plus the final clock and event count.
-std::uint64_t kernel_determinism_digest(WorkerPool* pool = nullptr) {
+std::uint64_t kernel_determinism_digest() {
   Simulator sim;
-  if (pool != nullptr) {
-    // Safe-point hook with decoy jobs: every time the clock is about to
-    // advance, a SharedBytes slice round-trips through a worker thread
-    // and retired closures are drained. The digest below must not notice.
-    sim.set_safe_point_hook(
-        [pool, buf = SharedBytes::copy_of(to_bytes("sim-digest-decoy"))] {
-          pool->submit([s = buf.slice(0, buf.size() / 2)] { (void)s; })
-              .wait();
-          pool->drain_completions();
-        });
-  }
   Rng rng(0xD5E7C0DEULL);
   Mailbox<int> req(sim);
   Mailbox<int> rep(sim);
@@ -511,19 +497,6 @@ TEST(SimDeterminism, KernelDigestMatchesGolden) {
 // guards against any hidden global state in the kernel.
 TEST(SimDeterminism, RepeatedRunsAgree) {
   EXPECT_EQ(kernel_determinism_digest(), kernel_determinism_digest());
-}
-
-// The same golden constant with a worker pool attached: safe-point hooks
-// fire between every pair of distinct-time events and submit real jobs,
-// yet virtual time, event ordering, and the latency stream must be
-// untouched — wall-clock parallelism is invisible to the model.
-TEST(SimDeterminism, KernelDigestUnchangedByWorkerPoolSafePoints) {
-  for (const std::uint32_t threads : {0u, 2u}) {
-    WorkerPool pool(threads);
-    const std::uint64_t digest = kernel_determinism_digest(&pool);
-    EXPECT_EQ(digest, 0x44aaa642c0a9e5f7ULL)
-        << "pool width " << threads << " digest=0x" << std::hex << digest;
-  }
 }
 
 }  // namespace
