@@ -10,9 +10,7 @@
 # Usage: scripts/bench.sh [build-dir] [out.json]
 #        scripts/bench.sh ab <base-build-dir> <head-build-dir> [out.json]
 #        scripts/bench.sh pop <build-dir> [out.json]
-#   build-dir: configured *release-noaudit* build tree (default:
-#              ./build-release). Audit-enabled builds measure the audit
-#              layer, not the kernel — the script warns but proceeds.
+#   build-dir: configured build tree (default: ./build).
 #   out.json:  output path (default: stdout).
 #
 # Wall-clock methodology: this box is noisy (shared cores, coarse timer
@@ -226,7 +224,7 @@ if [ "${1:-}" = "ab" ]; then
   fi
   exit 0
 fi
-BUILD_DIR="${1:-build-release}"
+BUILD_DIR="${1:-build}"
 OUT="${2:-}"
 REPS="${RUBIN_BENCH_REPS:-5}"
 MIN_TIME="${RUBIN_BENCH_MIN_TIME:-0.1}" # plain seconds; old benchmark
@@ -236,15 +234,11 @@ SIMKERNEL="${BUILD_DIR}/bench/bench_simkernel"
 for bin in "$SIMKERNEL" "${BUILD_DIR}/bench/bench_fig3_micro" \
   "${BUILD_DIR}/bench/bench_bft_e2e"; do
   if [ ! -x "$bin" ]; then
-    echo "bench.sh: missing $bin — build the release-noaudit preset first:" >&2
-    echo "  cmake --preset release-noaudit && cmake --build ${BUILD_DIR} --target bench_simkernel bench_fig3_micro bench_bft_e2e" >&2
+    echo "bench.sh: missing $bin — build it first:" >&2
+    echo "  cmake --build ${BUILD_DIR} --target bench_simkernel bench_fig3_micro bench_bft_e2e" >&2
     exit 1
   fi
 done
-
-if strings "$SIMKERNEL" 2>/dev/null | grep -q 'audit failed'; then
-  echo "bench.sh: WARNING: ${SIMKERNEL} appears to be an audit-enabled build; numbers will include audit overhead" >&2
-fi
 
 # Seconds-with-fraction wall clock around one command, best of $REPS.
 wall_min() {

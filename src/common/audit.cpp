@@ -1,8 +1,9 @@
 #include "common/audit.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 #include "common/log.hpp"
 
@@ -14,9 +15,24 @@ namespace {
 ScopedCapture* g_capture = nullptr;
 std::uint64_t g_failures = 0;
 
-std::map<std::string, std::uint64_t, std::less<>>& counter_map() {
-  static std::map<std::string, std::uint64_t, std::less<>> m;
-  return m;
+// The counter registry: a fixed table of (literal name, value), so it is
+// constant-initialized and trivially destructible — a site may count
+// during static construction or destruction. Only Counter::bind() and
+// counter_value() scan it; a hit goes straight to its slot.
+struct Slot {
+  std::string_view name;
+  std::uint64_t value;
+};
+constexpr std::size_t kMaxCounters = 128;
+std::array<Slot, kMaxCounters> g_slots{};
+std::size_t g_used = 0;
+std::uint64_t g_overflow = 0;  // absorbs counts past a captured overflow
+
+Slot* find(std::string_view name) {
+  for (std::size_t i = 0; i < g_used; ++i) {
+    if (g_slots[i].name == name) return &g_slots[i];
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -42,29 +58,37 @@ void fail(std::string_view component, std::string_view message,
 
 std::uint64_t failure_count() noexcept { return g_failures; }
 
-void count(std::string_view name, std::uint64_t delta) {
-  auto& m = counter_map();
-  const auto it = m.find(name);
-  if (it != m.end()) {
-    it->second += delta;
+void Counter::bind() noexcept {
+  if (Slot* s = find(name_)) {
+    slot_ = &s->value;
+  } else if (g_used == kMaxCounters) {
+    fail("audit", "counter table full; cannot intern " + std::string(name_),
+         __FILE__, __LINE__);
+    slot_ = &g_overflow;
   } else {
-    m.emplace(std::string(name), delta);
+    g_slots[g_used] = Slot{name_, 0};
+    slot_ = &g_slots[g_used++].value;
   }
 }
 
 std::uint64_t counter_value(std::string_view name) {
-  const auto& m = counter_map();
-  const auto it = m.find(name);
-  return it == m.end() ? 0 : it->second;
+  const Slot* s = find(name);
+  return s == nullptr ? 0 : s->value;
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> counters() {
-  const auto& m = counter_map();
-  return {m.begin(), m.end()};
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (std::size_t i = 0; i < g_used; ++i) {
+    if (g_slots[i].value != 0) {
+      out.emplace_back(std::string(g_slots[i].name), g_slots[i].value);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 void reset_counters() {
-  counter_map().clear();
+  for (std::size_t i = 0; i < g_used; ++i) g_slots[i].value = 0;
 }
 
 ScopedCapture::ScopedCapture() : prev_(g_capture) { g_capture = this; }

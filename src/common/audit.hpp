@@ -6,19 +6,17 @@
 // signaling, and a BFT log whose certificates must never shrink. The
 // audit layer states those invariants in code and checks them at runtime.
 //
-// Everything here compiles away when RUBIN_AUDIT is 0 (the default for
-// bare release builds; sanitizer presets and the default configure turn
-// it on): the macros keep their arguments type-checked via `if constexpr`
-// but generate no code, so audited members can stay unconditionally
-// declared without #ifdef scattering.
+// The layer is always compiled in. Checks are O(1) on the hot paths, and
+// each counter site interns its name once, so a hit is one increment.
 //
 // Primitives:
 //   RUBIN_AUDIT_ASSERT(component, cond, msg)  — invariant check; on
 //       failure logs `msg` (lazily evaluated) and aborts, unless a
 //       ScopedCapture is installed (tests).
-//   RUBIN_AUDIT_COUNT(name, delta)            — named global counter for
-//       suspicious-but-not-fatal observations (e.g. values a remote peer
-//       can forge); inspect with audit::counter_value()/counters().
+//   RUBIN_AUDIT_COUNT(name, delta)            — named global counter
+//       (`name` must be a string literal); inspect with
+//       audit::counter_value()/counters(). Sites with the same name
+//       share one slot.
 //   RUBIN_AUDIT_SCOPE(component, msg, pred)   — checks `pred()` when the
 //       enclosing scope exits (normal or exceptional).
 //
@@ -34,14 +32,6 @@
 
 namespace rubin::audit {
 
-#if defined(RUBIN_AUDIT) && RUBIN_AUDIT
-inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
-
-constexpr bool enabled() noexcept { return kEnabled; }
-
 /// Records a failed audit: logs it and aborts, or, when a ScopedCapture
 /// is active, records it there and returns (so destructor-side audits can
 /// be tested without death tests).
@@ -51,13 +41,29 @@ void fail(std::string_view component, std::string_view message,
 /// Total audits failed since process start (captured or fatal).
 std::uint64_t failure_count() noexcept;
 
-/// Adds `delta` to the named global audit counter.
-void count(std::string_view name, std::uint64_t delta = 1);
+/// One call site's handle on the registry slot of its name. Constant-
+/// initialized, so a site needs no static-init guard; it interns its name
+/// on the first hit. `name` must outlive the process (RUBIN_AUDIT_COUNT
+/// passes a literal).
+class Counter {
+ public:
+  constexpr explicit Counter(std::string_view name) noexcept : name_(name) {}
+  void add(std::uint64_t delta) noexcept {
+    if (slot_ == nullptr) [[unlikely]] bind();
+    *slot_ += delta;
+  }
+
+ private:
+  [[gnu::cold]] void bind() noexcept;
+
+  std::string_view name_;
+  std::uint64_t* slot_ = nullptr;
+};
 
 /// Current value of a named counter (0 if never touched).
 std::uint64_t counter_value(std::string_view name);
 
-/// Snapshot of all counters, sorted by name.
+/// Snapshot of the non-zero counters, sorted by name.
 std::vector<std::pair<std::string, std::uint64_t>> counters();
 
 /// Resets all counters to zero (test isolation).
@@ -118,38 +124,31 @@ class ScopeCheck {
 }  // namespace detail
 }  // namespace rubin::audit
 
-// NOLINTBEGIN(cppcoreguidelines-macro-usage): compile-away instrumentation
-// needs macros for lazy message evaluation and __FILE__/__LINE__ capture.
-#define RUBIN_AUDIT_ASSERT(component, cond, msg)                            \
-  do {                                                                      \
-    if constexpr (::rubin::audit::kEnabled) {                               \
-      if (!(cond)) {                                                        \
-        ::rubin::audit::fail((component), std::string(msg) + " [" #cond "]", \
-                             __FILE__, __LINE__);                           \
-      }                                                                     \
-    }                                                                       \
+// NOLINTBEGIN(cppcoreguidelines-macro-usage): instrumentation needs macros
+// for lazy message evaluation, __FILE__/__LINE__ capture and per-site
+// counter statics.
+#define RUBIN_AUDIT_ASSERT(component, cond, msg)                          \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      ::rubin::audit::fail((component), std::string(msg) + " [" #cond "]", \
+                           __FILE__, __LINE__);                           \
+    }                                                                     \
   } while (0)
 
-#define RUBIN_AUDIT_COUNT(name, delta)                            \
-  do {                                                            \
-    if constexpr (::rubin::audit::kEnabled) {                     \
-      ::rubin::audit::count((name), (delta));                     \
-    }                                                             \
+// `"" name` only compiles for a string literal.
+#define RUBIN_AUDIT_COUNT(name, delta)                                    \
+  do {                                                                    \
+    static constinit ::rubin::audit::Counter rubin_audit_counter_{"" name}; \
+    rubin_audit_counter_.add(static_cast<std::uint64_t>(delta));          \
   } while (0)
 
 #define RUBIN_AUDIT_CONCAT_(a, b) a##b
 #define RUBIN_AUDIT_CONCAT(a, b) RUBIN_AUDIT_CONCAT_(a, b)
 
 // Declares a scope guard checking `pred` (a no-arg callable returning
-// bool) when the scope unwinds. No-op without RUBIN_AUDIT.
-#if defined(RUBIN_AUDIT) && RUBIN_AUDIT
-#define RUBIN_AUDIT_SCOPE(component, msg, pred)                      \
-  ::rubin::audit::detail::ScopeCheck RUBIN_AUDIT_CONCAT(             \
-      rubin_audit_scope_, __LINE__)((component), (msg), __FILE__,    \
+// bool) when the scope unwinds.
+#define RUBIN_AUDIT_SCOPE(component, msg, pred)                   \
+  ::rubin::audit::detail::ScopeCheck RUBIN_AUDIT_CONCAT(          \
+      rubin_audit_scope_, __LINE__)((component), (msg), __FILE__, \
                                     __LINE__, (pred))
-#else
-#define RUBIN_AUDIT_SCOPE(component, msg, pred) \
-  do {                                          \
-  } while (0)
-#endif
 // NOLINTEND(cppcoreguidelines-macro-usage)

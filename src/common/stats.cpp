@@ -2,44 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace rubin {
-
-namespace stats {
-
-namespace {
-std::map<std::string, std::uint64_t, std::less<>>& registry() {
-  static std::map<std::string, std::uint64_t, std::less<>> counters;
-  return counters;
-}
-}  // namespace
-
-void counter_add(std::string_view name, std::uint64_t delta) {
-  auto& reg = registry();
-  const auto it = reg.find(name);
-  if (it != reg.end()) {
-    it->second += delta;
-  } else {
-    reg.emplace(std::string(name), delta);
-  }
-}
-
-std::uint64_t counter_value(std::string_view name) {
-  const auto& reg = registry();
-  const auto it = reg.find(name);
-  return it != reg.end() ? it->second : 0;
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot() {
-  const auto& reg = registry();
-  return {reg.begin(), reg.end()};
-}
-
-void reset_counters() { registry().clear(); }
-
-}  // namespace stats
 
 void Summary::add(double x) noexcept {
   ++n_;

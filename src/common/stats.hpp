@@ -4,28 +4,10 @@
 // these keep raw samples rather than approximating with fixed buckets.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
-#include <utility>
+#include <cstddef>
 #include <vector>
 
 namespace rubin {
-
-namespace stats {
-
-/// Process-wide named monotone counters. Unlike the audit counters
-/// (common/audit.hpp), these are always compiled in: they are part of the
-/// observable surface (fabric fault accounting, FaultLab reports), not a
-/// debugging aid. Single-threaded like the rest of the simulation.
-void counter_add(std::string_view name, std::uint64_t delta = 1);
-std::uint64_t counter_value(std::string_view name);
-/// All counters, sorted by name (deterministic).
-std::vector<std::pair<std::string, std::uint64_t>> counters_snapshot();
-/// Zeroes every counter (tests isolate themselves with this).
-void reset_counters();
-
-}  // namespace stats
 
 /// Streaming mean / min / max / variance (Welford).
 class Summary {

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/stats.hpp"
+#include "common/audit.hpp"
 
 namespace rubin::net {
 
@@ -42,7 +42,7 @@ std::optional<Fabric::TxPlan> Fabric::plan_transmit(HostId src, HostId dst,
   if (is_partitioned(src, dst) || is_oneway_blocked(src, dst) ||
       (loss > 0.0 && drop_rng_.chance(loss))) {
     ++frames_dropped_;
-    stats::counter_add("fabric.frames_dropped");
+    RUBIN_AUDIT_COUNT("fabric.frames_dropped", 1);
     if (frame_probe_) {
       frame_probe_(FramePoint{frame_index, src, dst, payload_bytes, 0, true});
     }
@@ -73,14 +73,14 @@ std::optional<Fabric::TxPlan> Fabric::plan_transmit(HostId src, HostId dst,
     plan.fault.corrupt_mask =
         static_cast<std::uint8_t>(corrupt_rng_.next_in(1, 255));
     ++frames_corrupted_;
-    stats::counter_add("fabric.frames_corrupted");
+    RUBIN_AUDIT_COUNT("fabric.frames_corrupted", 1);
   }
   if (reorder_rate_ > 0.0 && reorder_rng_.chance(reorder_rate_)) {
     // Holding this frame back past its successors' arrivals is what
     // reordering *is* on a store-and-forward network.
     arrival += reorder_delay_;
     ++frames_reordered_;
-    stats::counter_add("fabric.frames_reordered");
+    RUBIN_AUDIT_COUNT("fabric.frames_reordered", 1);
   }
   // Targeted per-decision-point delay (explorer delivery-order swaps).
   if (!frame_delay_.empty()) {
@@ -94,7 +94,7 @@ std::optional<Fabric::TxPlan> Fabric::plan_transmit(HostId src, HostId dst,
     // switch replayed it.
     plan.dup_arrival = arrival + cost_.propagation + 1;
     ++frames_duplicated_;
-    stats::counter_add("fabric.frames_duplicated");
+    RUBIN_AUDIT_COUNT("fabric.frames_duplicated", 1);
   }
 
   ++frames_delivered_;

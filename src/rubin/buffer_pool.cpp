@@ -44,13 +44,10 @@ std::optional<std::uint32_t> BufferPool::acquire() {
 
 void BufferPool::release(std::uint32_t slot) {
   if (slot >= count_) throw std::out_of_range("BufferPool::release: bad slot");
-  if constexpr (audit::kEnabled) {
-    if (slot_state_[slot] != kAcquired) {
-      audit::fail("buffer_pool",
-                  "double release of slot " + std::to_string(slot), __FILE__,
-                  __LINE__);
-      return;  // captured: drop the bogus release so the pool stays sane
-    }
+  if (slot_state_[slot] != kAcquired) {
+    audit::fail("buffer_pool", "double release of slot " + std::to_string(slot),
+                __FILE__, __LINE__);
+    return;  // captured: drop the bogus release so the pool stays sane
   }
   slot_state_[slot] = kFree;
   free_.push_back(slot);

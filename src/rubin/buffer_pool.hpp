@@ -50,8 +50,7 @@ class BufferPool {
   std::size_t size_;
   std::vector<std::uint32_t> free_;
   /// Audit: per-slot lifecycle state (0 = free, 1 = acquired). Detects
-  /// double release and leak-at-destruction; maintained unconditionally
-  /// (one byte per slot), checked only under RUBIN_AUDIT.
+  /// double release and leak-at-destruction (one byte per slot).
   std::vector<std::uint8_t> slot_state_;
 };
 

@@ -167,7 +167,7 @@ struct SendWr {
   /// the buffer until completion" rule that hardware zero-copy already
   /// imposes. A multi-slice frame rides as-is — the gather happens on the
   /// wire, never in host memory.
-  FrameVec shared_payload;
+  FrameVec shared_payload{};
 };
 
 /// Receive-queue work request.
@@ -206,7 +206,7 @@ struct Completion {
   std::uint32_t qp_num = 0;
   /// Receive payload handle, set only for recv completions whose RecvWr
   /// asked for capture_payload. Empty otherwise.
-  SharedBytes payload;
+  SharedBytes payload{};
 };
 
 /// Queue-pair capabilities (ibv_qp_cap).

@@ -7,9 +7,13 @@
 // death test at the end demonstrates the fatal path is real.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/audit.hpp"
 #include "net/fabric.hpp"
@@ -22,10 +26,6 @@
 
 namespace rubin {
 namespace {
-
-static_assert(audit::kEnabled,
-              "audit_test requires a build configured with RUBIN_AUDIT=ON "
-              "(the default; all presets except release-noaudit)");
 
 // ------------------------------------------------------------ primitives -
 
@@ -57,16 +57,39 @@ TEST(AuditPrimitives, CapturesNest) {
   EXPECT_TRUE(outer.saw("goes to outer after inner dies"));
 }
 
+void count_site() { RUBIN_AUDIT_COUNT("test.site", 1); }
+
+template <typename T>
+void count_size_of(T) {
+  RUBIN_AUDIT_COUNT("test.template", sizeof(T));
+}
+
 TEST(AuditPrimitives, CountersAccumulateAndReset) {
   audit::reset_counters();
   EXPECT_EQ(audit::counter_value("test.widget"), 0u);
+  // rubinlint:allow(audit-xref-unknown) a name no site ever counts
+  EXPECT_EQ(audit::counter_value("test.never_counted"), 0u);
+  // Two sites, one name: both land in the same slot.
   RUBIN_AUDIT_COUNT("test.widget", 1);
   RUBIN_AUDIT_COUNT("test.widget", 2);
   EXPECT_EQ(audit::counter_value("test.widget"), 3u);
-  const auto all = audit::counters();
-  EXPECT_FALSE(all.empty());
+  count_site();
+  using Row = std::pair<std::string, std::uint64_t>;
+  EXPECT_EQ(audit::counters(),
+            (std::vector<Row>{{"test.site", 1}, {"test.widget", 3}}));
   audit::reset_counters();
+  EXPECT_TRUE(audit::counters().empty());
   EXPECT_EQ(audit::counter_value("test.widget"), 0u);
+  // A site interned before the reset counts from zero after it.
+  count_site();
+  EXPECT_EQ(audit::counter_value("test.site"), 1u);
+}
+
+TEST(AuditPrimitives, TemplateInstantiationsShareOneCounter) {
+  audit::reset_counters();
+  count_size_of(std::uint8_t{0});
+  count_size_of(std::uint64_t{0});
+  EXPECT_EQ(audit::counter_value("test.template"), 9u);
 }
 
 TEST(AuditPrimitives, ScopeCheckFiresOnExit) {

@@ -237,7 +237,6 @@ TEST(Datapath, TransportPickCountersCoverEveryLane) {
   // transport mix is auditable after the fact. Each lane is forced by
   // constructing the resource state where it is the argmin (or, for
   // kReadDrain, the only available escape hatch).
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
   const net::CostModel cm = net::CostModel::roce_10g();
   nio::TransportPolicy policy;
   policy.mode = nio::TransportPolicy::Mode::kAdaptive;
@@ -270,7 +269,6 @@ TEST(Datapath, TransportPickCountersCoverEveryLane) {
 }
 
 TEST(Datapath, SendPathCopiesA64KiBPayloadAtMostOnce) {
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
   constexpr std::size_t kPayload = 64 * 1024;
   constexpr int kMessages = 20;
 

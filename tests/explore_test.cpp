@@ -64,7 +64,6 @@ TEST(Explore, SeedPerturbationIsANoOpWithoutDice) {
 }
 
 TEST(Explore, ExploreDedupsAndFeedsAuditCounters) {
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
   audit::reset_counters();
   ExploreOptions opts;
   opts.budget = 30;

@@ -79,12 +79,10 @@ TEST_F(FastPathTest, FaultFreeCommitsRideTheFastPath) {
     }
   }
   EXPECT_GT(fast_total, 0u);
-  if (audit::enabled()) {
-    EXPECT_GT(audit::counter_value("decision_log.accept"), 0u);
-    EXPECT_GT(audit::counter_value("decision_log.fast_commit"), 0u);
-    EXPECT_EQ(audit::counter_value("decision_log.reject"), 0u);
-    EXPECT_EQ(audit::counter_value("decision_log.fallback"), 0u);
-  }
+  EXPECT_GT(audit::counter_value("decision_log.accept"), 0u);
+  EXPECT_GT(audit::counter_value("decision_log.fast_commit"), 0u);
+  EXPECT_EQ(audit::counter_value("decision_log.reject"), 0u);
+  EXPECT_EQ(audit::counter_value("decision_log.fallback"), 0u);
 }
 
 TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
@@ -108,11 +106,9 @@ TEST_F(FastPathTest, ForgingPrimaryFallsBackWithoutDivergence) {
   for (NodeId r = 1; r < 4; ++r) {
     EXPECT_EQ(h.replica(r).stats().fast_commits, 0u) << "replica " << r;
   }
-  if (audit::enabled()) {
-    EXPECT_GT(audit::counter_value("decision_log.reject"), 0u);
-    EXPECT_GT(audit::counter_value("decision_log.fallback"), 0u);
-    EXPECT_EQ(audit::counter_value("decision_log.fast_commit"), 0u);
-  }
+  EXPECT_GT(audit::counter_value("decision_log.reject"), 0u);
+  EXPECT_GT(audit::counter_value("decision_log.fallback"), 0u);
+  EXPECT_EQ(audit::counter_value("decision_log.fast_commit"), 0u);
 }
 
 TEST_F(FastPathTest, TornWriterStallsFastPathButNotAgreement) {

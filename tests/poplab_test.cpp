@@ -240,18 +240,16 @@ TEST_F(PoplabTest, SrqPopulationSustainsTheScenarioAndCountsEverything) {
   EXPECT_GE(r.cohorts[0].p99_us, r.cohorts[0].p50_us);
   EXPECT_GT(r.throughput_rps, 0.0);
 
-  if (audit::enabled()) {
-    // The xref contract for the poplab.* counter family: every counted
-    // name is asserted here, against the report the run itself produced.
-    EXPECT_EQ(audit::counter_value("poplab.arrivals") - arrivals0,
-              r.arrivals);
-    EXPECT_EQ(audit::counter_value("poplab.completions") - completions0,
-              r.completions);
-    // Shed arrivals (drops) ride the timeout counter: both are load the
-    // open-loop schedule offered and the system failed to serve.
-    EXPECT_EQ(audit::counter_value("poplab.timeouts") - timeouts0,
-              r.timeouts + r.drops);
-  }
+  // The xref contract for the poplab.* counter family: every counted
+  // name is asserted here, against the report the run itself produced.
+  EXPECT_EQ(audit::counter_value("poplab.arrivals") - arrivals0,
+            r.arrivals);
+  EXPECT_EQ(audit::counter_value("poplab.completions") - completions0,
+            r.completions);
+  // Shed arrivals (drops) ride the timeout counter: both are load the
+  // open-loop schedule offered and the system failed to serve.
+  EXPECT_EQ(audit::counter_value("poplab.timeouts") - timeouts0,
+            r.timeouts + r.drops);
 }
 
 TEST_F(PoplabTest, PerQpModeServesTheSameScenario) {

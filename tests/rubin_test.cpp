@@ -349,7 +349,6 @@ TEST_F(RubinTest, MultiSliceFrameSkipsTheGatherCopy) {
   // *and* physical memcpy — never happens. The send side must add zero
   // bytes to datapath.copy_bytes; the receiver's copy is separate and
   // deliberately stays (the paper's measured receive-side effect, §IV).
-  if (!audit::enabled()) GTEST_SKIP() << "audit counters compiled out";
   ChannelConfig cfg;
   cfg.zero_copy_send = false;
   cfg.inline_threshold = 0;

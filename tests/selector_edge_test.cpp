@@ -90,11 +90,11 @@ TEST_F(EdgeTest, CancelledKeyIsSweptAndAudited) {
 
   key->cancel();
 
-  if constexpr (audit::kEnabled) {
-    // Interest mutation after cancel() is a lifecycle bug the audit layer
-    // flags (captured here instead of aborting). Must happen before any
-    // select(): the sweep there frees the key, and touching it afterwards
-    // would be use-after-free, not merely an audit trip.
+  // Interest mutation after cancel() is a lifecycle bug the audit layer
+  // flags (captured here instead of aborting). Must happen before any
+  // select(): the sweep there frees the key, and touching it afterwards
+  // would be use-after-free, not merely an audit trip.
+  {
     audit::ScopedCapture cap;
     key->set_interest_ops(nio::kOpSend);
     EXPECT_TRUE(cap.saw("set_interest_ops on a cancelled key"));

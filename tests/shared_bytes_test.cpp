@@ -56,9 +56,7 @@ TEST(SharedBytes, CopyOfIsAPhysicalCopy) {
   EXPECT_NE(static_cast<const void*>(b.data()),
             static_cast<const void*>(src.data()));
   EXPECT_TRUE(std::equal(b.view().begin(), b.view().end(), src.begin(), src.end()));
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("datapath.copy_bytes"), 100u);
-  }
+  EXPECT_EQ(audit::counter_value("datapath.copy_bytes"), 100u);
 }
 
 TEST(SharedBytes, SliceSharesAllocationAndIsCounted) {
@@ -68,10 +66,8 @@ TEST(SharedBytes, SliceSharesAllocationAndIsCounted) {
   EXPECT_EQ(mid.size(), 32u);
   EXPECT_EQ(mid.data(), whole.data() + 16);
   EXPECT_EQ(whole.ref_count(), 2u);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("datapath.copy_bytes"), 0u);
-    EXPECT_EQ(audit::counter_value("datapath.slices"), 1u);
-  }
+  EXPECT_EQ(audit::counter_value("datapath.copy_bytes"), 0u);
+  EXPECT_EQ(audit::counter_value("datapath.slices"), 1u);
   const SharedBytes tail = whole.slice(48);
   EXPECT_EQ(tail.size(), 16u);
   EXPECT_EQ(tail.data(), whole.data() + 48);

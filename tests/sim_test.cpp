@@ -484,10 +484,10 @@ std::uint64_t kernel_determinism_digest() {
 }
 
 // Golden digest recorded from the pre-fast-path kernel (PR 1 tree). The
-// same constant is asserted in every build preset — relwithdebinfo,
-// asan-ubsan and release-noaudit must all produce bit-identical virtual
-// time, event ordering and latencies, and the allocation-free fast paths
-// must not change any of them.
+// same constant is asserted in every build preset — relwithdebinfo and
+// asan-ubsan must both produce bit-identical virtual time, event ordering
+// and latencies, and the allocation-free fast paths must not change any
+// of them.
 TEST(SimDeterminism, KernelDigestMatchesGolden) {
   const std::uint64_t digest = kernel_determinism_digest();
   EXPECT_EQ(digest, 0x44aaa642c0a9e5f7ULL) << "digest=0x" << std::hex << digest;

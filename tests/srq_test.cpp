@@ -132,10 +132,8 @@ TEST_F(SrqTest, TwoQpsInterleaveAndCompletionsRouteByQpNum) {
   EXPECT_EQ(srq->posted(), 0u);
   EXPECT_EQ(srq->taken(), 6u);
   EXPECT_EQ(srq->receive_state_bytes(), 0u);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("verbs.srq.posted"), 6u);
-    EXPECT_EQ(audit::counter_value("verbs.srq.stolen"), 6u);
-  }
+  EXPECT_EQ(audit::counter_value("verbs.srq.posted"), 6u);
+  EXPECT_EQ(audit::counter_value("verbs.srq.stolen"), 6u);
 }
 
 TEST_F(SrqTest, BurstExhaustionParksThenRefillRedrains) {
@@ -166,9 +164,7 @@ TEST_F(SrqTest, BurstExhaustionParksThenRefillRedrains) {
   const auto sc = scq_a->poll(16);
   ASSERT_EQ(sc.size(), 3u);
   for (const Completion& c : sc) EXPECT_EQ(c.status, WcStatus::kSuccess);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("verbs.srq.rnr_backpressure"), 2u);
-  }
+  EXPECT_GE(audit::counter_value("verbs.srq.rnr_backpressure"), 2u);
 }
 
 TEST_F(SrqTest, EmptySrqBeyondRetryBudgetBreaksQp) {
@@ -234,9 +230,7 @@ TEST_F(SrqTest, LimitEventFiresOnceAndRearms) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1], 1u);
   (void)rcq_b->poll(16);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("verbs.srq.limit_events"), 2u);
-  }
+  EXPECT_EQ(audit::counter_value("verbs.srq.limit_events"), 2u);
 }
 
 TEST_F(SrqTest, TeardownWithInFlightWrFlushCompletesOnOwningCq) {

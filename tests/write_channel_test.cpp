@@ -275,9 +275,7 @@ TEST_F(OneSidedTest, ForgedCreditIsCountedAndNeverUnblocksWrites) {
   sim.run();
   EXPECT_EQ(n, 0u);
   EXPECT_GE(a->stats().no_credit_stalls, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("onesided.implausible_credit"), 1u);
-  }
+  EXPECT_GE(audit::counter_value("onesided.implausible_credit"), 1u);
 
   // Legitimate consumption still recovers the channel: b drains the ring
   // (returning real credits) and a's next write goes through.
@@ -452,9 +450,7 @@ TEST_F(DecisionLogTest, PublishPollAckQuorumFlow) {
   sim.run();
   EXPECT_EQ(written, 3u);
   EXPECT_EQ(logs[0]->stats().records_published, 3u);
-  if (audit::enabled()) {
-    EXPECT_EQ(audit::counter_value("transport.onesided.write"), 3u);
-  }
+  EXPECT_EQ(audit::counter_value("transport.onesided.write"), 3u);
 
   int authenticated = 0;
   const std::uint64_t tag = tag_of(pp.digest);
@@ -525,9 +521,7 @@ TEST_F(DecisionLogTest, TornWriteIsTreatedAsNotArrived) {
   sim.run();
   EXPECT_EQ(st, SlotStatus::kTorn);
   EXPECT_EQ(logs[1]->stats().torn_slots, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("decision_log.torn"), 1u);
-  }
+  EXPECT_GE(audit::counter_value("decision_log.torn"), 1u);
 
   // The complete write repairs the slot.
   SharedBytes whole = DecisionLog::make_slot(1, 0, 0,
@@ -569,9 +563,7 @@ TEST_F(DecisionLogTest, ReplayedSlotFromOldViewIsStale) {
   sim.run();
   EXPECT_EQ(st, SlotStatus::kStale);
   EXPECT_EQ(logs[1]->stats().stale_slots, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("decision_log.stale"), 1u);
-  }
+  EXPECT_GE(audit::counter_value("decision_log.stale"), 1u);
 }
 
 TEST_F(DecisionLogTest, MisplacedSlotIsBadFrame) {
@@ -638,11 +630,9 @@ TEST_F(DecisionLogTest, ViewFlipRevokesBeforeGranting) {
   sim.run();
   EXPECT_EQ(mid_flip, 0u);
   EXPECT_GE(logs[1]->stats().bypasses, 3u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("transport.onesided.bypass"), 3u);
-    EXPECT_EQ(audit::counter_value("decision_log.permission_flip"),
-              static_cast<std::uint64_t>(kN));
-  }
+  EXPECT_GE(audit::counter_value("transport.onesided.bypass"), 3u);
+  EXPECT_EQ(audit::counter_value("decision_log.permission_flip"),
+            static_cast<std::uint64_t>(kN));
 
   // Flips have completed (sim.run drained them): the same publish lands.
   for (std::uint32_t r = 0; r < kN; ++r) {
@@ -694,9 +684,7 @@ TEST_F(DecisionLogTest, DeposedPrimaryWriteNaksOnRevokedRkey) {
   // The NIC NAKed it: a kRemoteAccessError completion on the sender...
   EXPECT_GE(logs[0]->drain_completions(), 1u);
   EXPECT_GE(logs[0]->stats().write_naks, 1u);
-  if (audit::enabled()) {
-    EXPECT_GE(audit::counter_value("decision_log.write_nak"), 1u);
-  }
+  EXPECT_GE(audit::counter_value("decision_log.write_nak"), 1u);
   // ...and nothing landed in the victim's ring.
   SlotStatus st = SlotStatus::kReady;
   DecisionRecord out;
